@@ -218,9 +218,9 @@ type Node struct {
 	disc Discovery
 	comp string // observer component name, precomputed off the hot paths
 	// multi reports multi-object mode (Config.Objects). In single-object
-	// mode every wire frame carries an empty object field — byte-identical
-	// to the pre-multi-object format — and discovery uses the default
-	// registry; in multi-object mode the real object names go on the wire.
+	// mode every wire frame carries an empty object field and discovery
+	// uses the default registry; in multi-object mode the real object
+	// names go on the wire.
 	multi bool
 	// primary is the default object name: the single File's, or the first
 	// catalog entry's (legacy frames with no object field route to it).
@@ -341,8 +341,8 @@ func newNode(cfg Config) (*Node, error) {
 }
 
 // wireObject translates a catalog object name to its wire spelling: the
-// empty string in single-object mode (keeping every frame byte-identical
-// to the legacy format), the name itself in multi-object mode.
+// empty string in single-object mode (the default registry), the name
+// itself in multi-object mode.
 func (n *Node) wireObject(name string) string {
 	if !n.multi {
 		return ""

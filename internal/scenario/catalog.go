@@ -539,11 +539,11 @@ func reshardDrain() Spec {
 // The congestion-control flow family. All three scenarios route the
 // seeds' access links into one shared bandwidth-limited "core" resource
 // (netx.LinkConfig.Bottleneck), so every concurrent session serializes
-// into the same pipe. They stream congestionFile — 1 KiB segments so the
-// JSON framing (~40% at this size) doesn't dominate the payload the way
-// it does the default 128 B conformance file. One full-quality flow
-// (segment every δt plus acks) is ~185 KB/s on the wire; one downgrade
-// roughly halves that (~100 KB/s), the next again (~58 KB/s). A
+// into the same pipe. They stream congestionFile — 1 KiB segments, so
+// the payload rather than per-frame overhead sets the wire rate. One
+// full-quality flow (segment every δt plus acks) is ~131 KB/s on the
+// wire; one downgrade roughly halves that (~66 KB/s), the next again
+// (~34 KB/s). A
 // supplying peer serves one session at a time, so each class-1 requester
 // binds two exclusive class-1 suppliers — concurrent flows need four
 // seeds. The second requester starts 3 ms after the first so their
@@ -587,10 +587,10 @@ func competingMediaFlows() Spec {
 			{ID: "r2", Class: 1, Start: 3 * time.Millisecond},
 		},
 		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(280 << 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(280 << 10)},
-			{A: "s3", B: Wildcard, Config: coreBottleneck(280 << 10)},
-			{A: "s4", B: Wildcard, Config: coreBottleneck(280 << 10)},
+			{A: "s1", B: Wildcard, Config: coreBottleneck(200 << 10)},
+			{A: "s2", B: Wildcard, Config: coreBottleneck(200 << 10)},
+			{A: "s3", B: Wildcard, Config: coreBottleneck(200 << 10)},
+			{A: "s4", B: Wildcard, Config: coreBottleneck(200 << 10)},
 		},
 		Expect: Expect{FairShare: 1.5, MinDowngraded: 1},
 	}
@@ -644,10 +644,10 @@ func priorityFlows() Spec {
 			{ID: "lo", Class: 1, Start: 3 * time.Millisecond},
 		},
 		Links: []Link{
-			{A: "s1", B: Wildcard, Config: coreBottleneck(320 << 10)},
-			{A: "s2", B: Wildcard, Config: coreBottleneck(320 << 10)},
-			{A: "s3", B: Wildcard, Config: coreBottleneck(320 << 10)},
-			{A: "s4", B: Wildcard, Config: coreBottleneck(320 << 10)},
+			{A: "s1", B: Wildcard, Config: coreBottleneck(229 << 10)},
+			{A: "s2", B: Wildcard, Config: coreBottleneck(229 << 10)},
+			{A: "s3", B: Wildcard, Config: coreBottleneck(229 << 10)},
+			{A: "s4", B: Wildcard, Config: coreBottleneck(229 << 10)},
 		},
 		Expect: Expect{MinDowngraded: 1, FullQuality: []string{"hi"}},
 	}

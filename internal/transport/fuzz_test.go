@@ -3,42 +3,28 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"reflect"
-	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"p2pstream/internal/bandwidth"
 )
 
-// utf8Clean replaces each invalid UTF-8 byte with the Unicode replacement
-// character — byte for byte, exactly as encoding/json does on Marshal.
-func utf8Clean(s string) string {
-	if utf8.ValidString(s) {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		b.WriteRune(r)
-	}
-	return b.String()
-}
-
 // FuzzChordContactCodec round-trips every ChordContact-bearing message of
-// the chord discovery wire protocol (the PR 3 kinds: join, notify,
-// finger-query, lookup, plus the graceful leave) through Write/Read/Decode
-// and requires exact equality. The committed seed corpus under testdata
-// pins representative frames so `go test` exercises them forever.
+// the chord discovery wire protocol (join, notify, finger-query, lookup,
+// plus the graceful leave) through Write/Read/Decode and requires exact
+// equality: names are raw bytes on the wire, so arbitrary strings,
+// invalid UTF-8 included, come back unchanged. The committed seed corpus
+// under testdata pins representative inputs so `go test` exercises them
+// forever.
 func FuzzChordContactCodec(f *testing.F) {
 	f.Add("peer-1", "peer-1:7100", "peer-1:9000", 1, uint64(0), true, 0)
 	f.Add("", "", "", 0, uint64(1)<<63, false, 64)
 	f.Add("名前\x00\xff", "host:0", "\"quoted\"", -3, ^uint64(0), true, -1)
 	f.Fuzz(func(t *testing.T, name, addr, nodeAddr string, class int, key uint64, done bool, hops int) {
-		// JSON replaces each invalid UTF-8 byte with U+FFFD on encode;
-		// normalize the inputs identically so equality is exact.
 		contact := ChordContact{
-			Name: utf8Clean(name), Addr: utf8Clean(addr), NodeAddr: utf8Clean(nodeAddr),
-			Class: bandwidth.Class(class), Objects: []string{utf8Clean(name), utf8Clean(addr)},
+			Name: name, Addr: addr, NodeAddr: nodeAddr,
+			Class: bandwidth.Class(class), Objects: []string{name, addr},
 		}
 		// Objects made ChordContact non-comparable; equality goes deep.
 		same := func(got ChordContact) bool { return reflect.DeepEqual(got, contact) }
@@ -55,7 +41,7 @@ func FuzzChordContactCodec(f *testing.F) {
 				t.Fatalf("kind = %s, want %s", env.Kind, kind)
 			}
 			if err := env.Decode(out); err != nil {
-				t.Fatalf("decode %s: %v", kind, err)
+				t.Fatalf("decode %s: %v", env, err)
 			}
 		}
 
@@ -125,10 +111,12 @@ func FuzzChordContactCodec(f *testing.F) {
 }
 
 // FuzzReadCorruptFrame feeds arbitrary bytes to the frame reader: Read and
-// ReadExpect must never panic, and whatever Read accepts must decode into
-// an envelope that re-encodes (the parser cannot be tricked into producing
-// unserializable state). The seed corpus covers truncated frames,
-// oversized length prefixes, and valid frames with garbage JSON bodies.
+// ReadExpect must never panic, whatever Read accepts carries a known kind
+// within MaxMessageSize, both read paths accept the same bodies, and a
+// body that decodes re-encodes (the reader cannot be tricked into state
+// the writer cannot render). The seed corpus covers empty and truncated
+// frames, oversized length prefixes, wrong versions and kind codes, and
+// valid headers over garbage bodies.
 func FuzzReadCorruptFrame(f *testing.F) {
 	frame := func(kind Kind, body any) []byte {
 		var buf bytes.Buffer
@@ -144,22 +132,71 @@ func FuzzReadCorruptFrame(f *testing.F) {
 	f.Add(frame(KindChordLeave, ChordLeave{Peer: ChordContact{Name: "p"}}))
 	corrupt := frame(KindChordFingerOK, ChordFingerReply{Done: true})
 	f.Add(corrupt[:len(corrupt)-3])
-	garbage := append([]byte{0, 0, 0, 7}, []byte("{]}!!!!")...)
-	f.Add(garbage)
+	f.Add([]byte{0, 0, 0, 7, Version, kindCodes[KindChordLookupOK], 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Read(bytes.NewReader(data))
+		// ReadExpect must never panic either, whatever the frame holds.
+		var reply ChordLookupReply
+		_ = ReadExpect(bytes.NewReader(data), KindChordLookupOK, &reply)
 		if err != nil {
 			return
 		}
 		if n := binary.BigEndian.Uint32(data[:4]); n > MaxMessageSize {
 			t.Fatalf("Read accepted a %d-byte frame beyond MaxMessageSize", n)
 		}
-		var buf bytes.Buffer
-		if werr := Write(&buf, env.Kind, env.Body); werr != nil {
-			t.Fatalf("accepted envelope does not re-encode: %v", werr)
+		if kindCodes[env.Kind] == 0 {
+			t.Fatalf("Read accepted unknown kind %q", env.Kind)
 		}
-		// ReadExpect must never panic either, whatever the envelope holds.
-		var reply ChordLookupReply
-		_ = ReadExpect(bytes.NewReader(data), KindChordLookupOK, &reply)
+		body := bodyFor(env.Kind)
+		derr := env.Decode(body)
+		// Both read paths judge a body alike (an error frame surfaces as
+		// a RemoteError from ReadExpect by contract).
+		eerr := ReadExpect(bytes.NewReader(data), env.Kind, bodyFor(env.Kind))
+		if env.Kind != KindError && (derr == nil) != (eerr == nil) {
+			t.Fatalf("%s: Decode = %v, ReadExpect = %v", env, derr, eerr)
+		}
+		if derr != nil {
+			return
+		}
+		if err := Write(io.Discard, env.Kind, body); err != nil {
+			t.Fatalf("decoded %s does not re-encode: %v", env, err)
+		}
+	})
+}
+
+// FuzzDecodeBody runs arbitrary bytes through every kind's decoder: no
+// decoder may panic, and any body a decoder accepts must re-encode and
+// decode back to a deep-equal value.
+func FuzzDecodeBody(f *testing.F) {
+	cases := codecCases()
+	for i, e := range kindTable {
+		for _, body := range cases[e.kind] {
+			var buf bytes.Buffer
+			if err := Write(&buf, e.kind, body); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(byte(i+1), buf.Bytes()[6:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, code byte, body []byte) {
+		if code == 0 || int(code) > len(kindTable) {
+			code = code%byte(len(kindTable)) + 1
+		}
+		kind := kindTable[code-1].kind
+		out := bodyFor(kind)
+		if err := decodeBody(kind, body, out); err != nil {
+			return
+		}
+		enc, err := appendBody(nil, kind, out)
+		if err != nil {
+			t.Fatalf("accepted %s body %x does not re-encode: %v", kind, body, err)
+		}
+		back := bodyFor(kind)
+		if err := decodeBody(kind, enc, back); err != nil {
+			t.Fatalf("re-encoded %s body %x does not decode: %v", kind, enc, err)
+		}
+		if !reflect.DeepEqual(out, back) {
+			t.Fatalf("%s: decoded %+v, re-decoded %+v", kind, out, back)
+		}
 	})
 }

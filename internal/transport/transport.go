@@ -1,6 +1,12 @@
 // Package transport defines the wire protocol of the live peer-to-peer
-// streaming overlay: length-prefixed JSON messages over any stream
+// streaming overlay: length-prefixed binary frames over any stream
 // connection (TCP between real peers, net.Pipe in tests).
+//
+// A frame is a 4-byte big-endian length n, then n bytes: the version byte
+// (Version), the kind code (one per Kind, fixed by the kind table in
+// codec.go), and the kind's body in the field encoding codec.go
+// documents. A reader rejects a frame with a wrong version, an unknown
+// kind code, or a body that does not scan exactly to its end.
 //
 // The message set mirrors the paper's protocol steps: peers register with
 // and query a directory (Section 4.2 footnote 4), probe candidate suppliers
@@ -11,7 +17,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,6 +30,10 @@ import (
 // MaxMessageSize bounds a single frame; segments dominate and are small,
 // so anything bigger indicates a corrupted or hostile stream.
 const MaxMessageSize = 1 << 20
+
+// Version is the frame format version, the first byte after the length
+// prefix. A change to the kind table or to any body layout bumps it.
+const Version = 1
 
 // Kind discriminates message payloads.
 type Kind string
@@ -87,32 +96,31 @@ const (
 
 // Register announces a supplying peer to the directory.
 type Register struct {
-	ID    string          `json:"id"`
-	Addr  string          `json:"addr"`
-	Class bandwidth.Class `json:"class"`
+	ID    string
+	Addr  string
+	Class bandwidth.Class
 	// Refresh marks a lease-style re-registration: the directory upserts
 	// (address and class replace any existing entry) instead of rejecting
 	// the duplicate. Sharded clients re-send registrations periodically so
 	// a registry shard that crashed and returned empty is repopulated.
-	Refresh bool `json:"refresh,omitempty"`
+	Refresh bool
 	// Object names the media object this registration supplies. Empty
-	// selects the directory's default registry — the single-object wire
-	// format, byte-identical to what pre-multi-object peers send.
-	Object string `json:"object,omitempty"`
+	// selects the directory's default registry (the single-object case).
+	Object string
 }
 
 // RegisterBatch announces a peer's whole supplied-object set in one
 // round: one entry per object, typically sharing ID, Addr and Class.
 type RegisterBatch struct {
-	Regs []Register `json:"regs"`
+	Regs []Register
 }
 
 // Unregister removes a supplying peer from the directory. A non-empty
 // Object withdraws only that object's registration (the cache-eviction
 // path); empty withdraws from the default registry.
 type Unregister struct {
-	ID     string `json:"id"`
-	Object string `json:"object,omitempty"`
+	ID     string
+	Object string
 }
 
 // DirEpochWatch subscribes a connection to resharding-epoch
@@ -127,113 +135,113 @@ type DirEpochWatch struct{}
 // addresses) keeps key placement identical when a shard moves hosts, and
 // keeps rings across epochs comparable point by point.
 type DirShard struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
+	Name string
+	Addr string
 }
 
 // DirEpoch announces one resharding epoch: a monotonically increasing
 // epoch number and the complete shard set it is valid for. Clients adopt
 // the highest epoch they have seen and ignore stale ones.
 type DirEpoch struct {
-	Epoch  int64      `json:"epoch"`
-	Shards []DirShard `json:"shards"`
+	Epoch  int64
+	Shards []DirShard
 }
 
 // Lookup asks the directory for M random candidate suppliers.
 type Lookup struct {
-	M int `json:"m"`
+	M int
 	// Exclude names a peer to omit (a requester never probes itself).
-	Exclude string `json:"exclude,omitempty"`
+	Exclude string
 	// Object restricts the sample to suppliers of that media object;
 	// empty samples the default registry.
-	Object string `json:"object,omitempty"`
+	Object string
 }
 
 // Candidate describes one supplier returned by a lookup.
 type Candidate struct {
-	ID    string          `json:"id"`
-	Addr  string          `json:"addr"`
-	Class bandwidth.Class `json:"class"`
+	ID    string
+	Addr  string
+	Class bandwidth.Class
 }
 
 // Candidates is the lookup response.
 type Candidates struct {
-	Peers []Candidate `json:"peers"`
+	Peers []Candidate
 	// Len is the answering registry's total supplier count — with a
 	// sharded directory, the weight a client's merge gives this shard's
 	// sample so the merged result stays exactly uniform over the union.
-	Len int `json:"len,omitempty"`
+	Len int
 }
 
 // Probe asks a supplier for streaming-service permission. Object routes
 // the probe to the supplier's per-object admission state; empty means
 // the supplier's default (single) object.
 type Probe struct {
-	RequesterID string          `json:"requester_id"`
-	Class       bandwidth.Class `json:"class"`
-	Object      string          `json:"object,omitempty"`
+	RequesterID string
+	Class       bandwidth.Class
+	Object      string
 }
 
 // ProbeReply is the supplier's admission decision.
 type ProbeReply struct {
-	Decision dac.Decision `json:"decision"`
+	Decision dac.Decision
 	// Favors reports whether the supplier currently favors the requester's
 	// class (used for reminder targeting when Decision is DeniedBusy).
-	Favors bool `json:"favors"`
+	Favors bool
 }
 
 // Reminder is left on a busy supplier by a rejected requester.
 type Reminder struct {
-	RequesterID string          `json:"requester_id"`
-	Class       bandwidth.Class `json:"class"`
-	Object      string          `json:"object,omitempty"`
+	RequesterID string
+	Class       bandwidth.Class
+	Object      string
 }
 
 // ReminderReply acknowledges a reminder.
 type ReminderReply struct {
-	Kept bool `json:"kept"`
+	Kept bool
 }
 
 // Start triggers a chosen supplier with its OTS_p2p assignment: the
 // absolute segment IDs it must transmit, in ascending order.
 type Start struct {
-	RequesterID string `json:"requester_id"`
-	FileName    string `json:"file_name"`
-	Segments    []int  `json:"segments"`
+	RequesterID string
+	FileName    string
+	Segments    []int
 	// Priority orders competing sessions at a shared bottleneck: higher
 	// values downgrade later (larger sustain window before the ABR ladder
 	// steps down), lower values yield earlier. Zero is the default
 	// priority.
-	Priority int `json:"priority,omitempty"`
+	Priority int
 }
 
 // StartReply confirms (or refuses) session participation.
 type StartReply struct {
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
 }
 
 // Segment carries one media segment.
 type Segment struct {
-	ID int `json:"id"`
+	ID int
 	// Quality is the bitrate-class the payload was encoded at: 0 is full
 	// quality, each step halves the encoded size (the paper's dyadic
 	// ladder applied to the media itself).
-	Quality int    `json:"quality,omitempty"`
-	Data    []byte `json:"data"`
+	Quality int
+	Data    []byte
 }
 
 // Ack confirms receipt of one media segment back to its supplier — the
 // feedback the send-side bandwidth estimator runs on. Seq echoes the
 // segment ID; Bytes is the payload size received.
 type Ack struct {
-	Seq   int `json:"seq"`
-	Bytes int `json:"bytes"`
+	Seq   int
+	Bytes int
 }
 
 // SessionDone marks the end of a supplier's transmissions.
 type SessionDone struct {
-	Sent int `json:"sent"`
+	Sent int
 }
 
 // ChordContact identifies one member of the wire-level Chord ring: its
@@ -241,43 +249,43 @@ type SessionDone struct {
 // ring RPCs, its overlay endpoint for probes and sessions, and its
 // bandwidth class (so key lookups double as candidate discovery).
 type ChordContact struct {
-	Name     string          `json:"name"`
-	Addr     string          `json:"addr"`
-	NodeAddr string          `json:"node_addr"`
-	Class    bandwidth.Class `json:"class"`
+	Name     string
+	Addr     string
+	NodeAddr string
+	Class    bandwidth.Class
 	// Objects lists the media objects the member supplies, sorted. Empty
 	// means the set is unknown (a pre-multi-object member, or one that
 	// registered without naming an object): candidate filters must keep
 	// such contacts and let the probe's own refusal sort them out.
 	// Propagated with the contact through join/notify/lookup replies, so
 	// cached copies can lag a peer's latest set by a stabilization round.
-	Objects []string `json:"objects,omitempty"`
+	Objects []string
 	// Epoch orders contacts for the same name across rejoins: a member
 	// that leaves and rejoins (possibly on a new address) stamps a higher
 	// epoch, so merges prefer the newest contact and probes never dial an
 	// address the member already abandoned. Zero on contacts from members
 	// predating epochs; any stamped contact beats an unstamped one.
-	Epoch int64 `json:"epoch,omitempty"`
+	Epoch int64
 }
 
 // ChordJoin is sent by a joining peer to the ring member it determined to
 // be its successor (via a key lookup of its own ring position).
 type ChordJoin struct {
-	Peer ChordContact `json:"peer"`
+	Peer ChordContact
 }
 
 // ChordJoinReply transfers the successor's state to the joiner: the
 // predecessor it knew before (possibly) adopting the joiner, and its
 // successor list (the joiner's fault-tolerance seed).
 type ChordJoinReply struct {
-	Predecessor *ChordContact  `json:"predecessor,omitempty"`
-	Successors  []ChordContact `json:"successors"`
+	Predecessor *ChordContact
+	Successors  []ChordContact
 }
 
 // ChordNotify is the stabilization heartbeat a member sends its successor:
 // "I believe I am your predecessor".
 type ChordNotify struct {
-	Peer ChordContact `json:"peer"`
+	Peer ChordContact
 }
 
 // ChordNotifyReply returns the receiver's predecessor as of before this
@@ -288,15 +296,15 @@ type ChordNotify struct {
 // spreads to the peers whose routing answers carry it within one
 // stabilization round instead of never.
 type ChordNotifyReply struct {
-	Predecessor *ChordContact  `json:"predecessor,omitempty"`
-	Successors  []ChordContact `json:"successors"`
-	Self        *ChordContact  `json:"self,omitempty"`
+	Predecessor *ChordContact
+	Successors  []ChordContact
+	Self        *ChordContact
 }
 
 // ChordFingerQuery asks a member for one iterative routing step toward a
 // key.
 type ChordFingerQuery struct {
-	Key uint64 `json:"key"`
+	Key uint64
 }
 
 // ChordFingerReply answers a routing step: when Done, Next is the key's
@@ -307,27 +315,27 @@ type ChordFingerQuery struct {
 // fail-over order, so a resolver whose pull finds the owner dead asks
 // them directly instead of re-walking into the same corpse.
 type ChordFingerReply struct {
-	Done    bool           `json:"done"`
-	Next    ChordContact   `json:"next"`
-	Backups []ChordContact `json:"backups,omitempty"`
+	Done    bool
+	Next    ChordContact
+	Backups []ChordContact
 }
 
 // ChordLookup asks a ring member to route a full key lookup on the
 // caller's behalf — the entry point for peers that are not (yet) members,
 // such as requesting peers sampling candidates before their first session.
 type ChordLookup struct {
-	Key uint64 `json:"key"`
+	Key uint64
 	// Topo asks for the key's topological owner (the ring member whose
 	// arc covers the key) rather than a registration-record answer; the
 	// join path uses it to find a successor, since a joiner needs the
 	// member at that position, not whoever registered a record near it.
-	Topo bool `json:"topo,omitempty"`
+	Topo bool
 }
 
 // ChordLookupReply returns the key's owner and the routing hops expended.
 type ChordLookupReply struct {
-	Owner ChordContact `json:"owner"`
-	Hops  int          `json:"hops"`
+	Owner ChordContact
+	Hops  int
 }
 
 // ChordLeave is the graceful-departure notice a leaving member sends both
@@ -336,16 +344,16 @@ type ChordLookupReply struct {
 // with no stabilization round in between), and the predecessor splices the
 // leaver's successor list in place of the leaver.
 type ChordLeave struct {
-	Peer ChordContact `json:"peer"`
+	Peer ChordContact
 	// Predecessor is the leaver's predecessor, for the successor to adopt.
-	Predecessor *ChordContact `json:"predecessor,omitempty"`
+	Predecessor *ChordContact
 	// Successors is the leaver's successor list, for the predecessor to
 	// splice in.
-	Successors []ChordContact `json:"successors,omitempty"`
+	Successors []ChordContact
 	// Records are the registration records the leaver stored as primary
 	// owner; the successor inherits the leaver's key range, so it adopts
 	// them (minus any naming the leaver itself).
-	Records []ChordRecord `json:"records,omitempty"`
+	Records []ChordRecord
 }
 
 // ChordLeaveReply acknowledges a leave notice.
@@ -356,8 +364,8 @@ type ChordLeaveReply struct{}
 // A member registering with V virtual nodes publishes V such records; the
 // record at the member's own ring position doubles as its liveness anchor.
 type ChordRecord struct {
-	Pos  uint64       `json:"pos"`
-	Peer ChordContact `json:"peer"`
+	Pos  uint64
+	Peer ChordContact
 }
 
 // ChordReplicate pushes registration records to a peer. With Replace set,
@@ -373,12 +381,12 @@ type ChordRecord struct {
 // so a rejoined member's fresher record survives a late withdrawal of
 // the old incarnation).
 type ChordReplicate struct {
-	Replace  bool          `json:"replace,omitempty"`
-	Withdraw bool          `json:"withdraw,omitempty"`
-	Lo       uint64        `json:"lo,omitempty"`
-	Hi       uint64        `json:"hi,omitempty"`
-	Records  []ChordRecord `json:"records"`
-	Hops     int           `json:"hops,omitempty"`
+	Replace  bool
+	Withdraw bool
+	Lo       uint64
+	Hi       uint64
+	Records  []ChordRecord
+	Hops     int
 }
 
 // ChordReplicateReply acknowledges a record push.
@@ -392,24 +400,24 @@ type ChordReplicateReply struct{}
 // the answerer's). With All set it asks for every record in the circular
 // range (Lo, Hi] — the join path, syncing a joiner's inherited range.
 type ChordReplicaPull struct {
-	Key  uint64   `json:"key,omitempty"`
-	Dead []string `json:"dead,omitempty"`
-	All  bool     `json:"all,omitempty"`
-	Lo   uint64   `json:"lo,omitempty"`
-	Hi   uint64   `json:"hi,omitempty"`
+	Key  uint64
+	Dead []string
+	All  bool
+	Lo   uint64
+	Hi   uint64
 }
 
 // ChordReplicaPullReply answers a record fetch: Found/Record for a keyed
 // pull, Records for a range pull.
 type ChordReplicaPullReply struct {
-	Found   bool          `json:"found,omitempty"`
-	Record  ChordRecord   `json:"record,omitempty"`
-	Records []ChordRecord `json:"records,omitempty"`
+	Found   bool
+	Record  ChordRecord
+	Records []ChordRecord
 }
 
 // Error reports a protocol failure.
 type Error struct {
-	Message string `json:"message"`
+	Message string
 }
 
 // RemoteError is what ReadExpect returns when the peer answered with a
@@ -422,10 +430,36 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return "transport: remote error: " + e.Message }
 
-// Envelope is the frame payload: a kind tag plus the JSON-encoded body.
+// Envelope is one received frame: its kind and its still-encoded body.
 type Envelope struct {
-	Kind Kind            `json:"kind"`
-	Body json.RawMessage `json:"body"`
+	Kind Kind
+	Body []byte
+}
+
+// Decode decodes the envelope's body into out, a pointer to the kind's
+// body type (or nil, or *struct{} for a bodiless kind).
+func (e *Envelope) Decode(out any) error {
+	if out == nil {
+		return nil
+	}
+	return decodeBody(e.Kind, e.Body, out)
+}
+
+// String renders the envelope for logs and test failures: the kind and
+// the decoded body, or the raw body bytes when they do not decode.
+func (e *Envelope) String() string {
+	code := kindCodes[e.Kind]
+	if code == 0 || kindTable[code-1].newBody == nil {
+		if len(e.Body) == 0 {
+			return string(e.Kind)
+		}
+		return fmt.Sprintf("%s % x", e.Kind, e.Body)
+	}
+	body := kindTable[code-1].newBody()
+	if err := decodeBody(e.Kind, e.Body, body); err != nil {
+		return fmt.Sprintf("%s % x (%v)", e.Kind, e.Body, err)
+	}
+	return fmt.Sprintf("%s %+v", e.Kind, body)
 }
 
 // ErrMessageTooLarge is returned for frames beyond MaxMessageSize.
@@ -435,69 +469,38 @@ var ErrMessageTooLarge = errors.New("transport: message exceeds size limit")
 // into its pool, so one outsized message does not pin memory forever.
 const maxPooledFrame = 64 << 10
 
-// framePool recycles whole outgoing frames (length prefix + envelope);
-// readPool recycles incoming envelope buffers. Both are safe to reuse the
-// moment the call returns: io.Writer must not retain its argument, and
-// json.RawMessage copies the bytes it keeps.
+// framePool recycles whole outgoing frames; readPool recycles incoming
+// ones. Both are safe to reuse the moment the call returns: io.Writer
+// must not retain its argument, and Read copies the body it keeps.
 var (
 	framePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 	readPool  = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 )
 
-// appendJSONString appends s as a JSON string literal. Message kinds are
-// plain ASCII identifiers, so the fast path just quotes; anything unusual
-// falls back to the encoder.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
-			quoted, _ := json.Marshal(s)
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
-}
-
-// Write frames and sends one message. The envelope is assembled directly
-// into a pooled frame buffer — one body marshal (or none, for bodies with
-// a canonical fast encoder), no second envelope marshal, no per-message
-// frame allocation.
+// Write frames and sends one message. body is a value of, or pointer to,
+// the kind's body type; bodiless kinds take nil or struct{}{}. The frame
+// is assembled in a pooled buffer and handed to w in a single Write call.
 func Write(w io.Writer, kind Kind, body any) error {
+	code := kindCodes[kind]
+	if code == 0 {
+		return fmt.Errorf("%w: %q", ErrUnknownKind, kind)
+	}
 	bp := framePool.Get().(*[]byte)
-	// One buffer, one Write: a frame hits the wire in a single syscall (or
-	// a single virtual-network delivery) instead of two.
-	frame := append((*bp)[:0], 0, 0, 0, 0)
-	frame = append(frame, `{"kind":`...)
-	frame = appendJSONString(frame, string(kind))
-	frame = append(frame, `,"body":`...)
-	if a, ok := body.(bodyAppender); ok {
-		frame = a.appendBody(frame)
-	} else {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			*bp = frame[:0]
-			framePool.Put(bp)
-			return fmt.Errorf("transport: encoding %s body: %w", kind, err)
+	frame, err := appendBody(append((*bp)[:0], 0, 0, 0, 0, Version, code), kind, body)
+	if err == nil && len(frame)-4 > MaxMessageSize {
+		err = ErrMessageTooLarge
+	}
+	if err == nil {
+		binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+		if _, werr := w.Write(frame); werr != nil {
+			err = fmt.Errorf("transport: writing %s: %w", kind, werr)
 		}
-		frame = append(frame, raw...)
 	}
-	frame = append(frame, '}')
-	n := len(frame) - 4
-	if n > MaxMessageSize {
-		framePool.Put(bp)
-		return ErrMessageTooLarge
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(n))
-	_, err := w.Write(frame)
 	if cap(frame) <= maxPooledFrame {
 		*bp = frame[:0]
 		framePool.Put(bp)
 	}
-	if err != nil {
-		return fmt.Errorf("transport: writing %s: %w", kind, err)
-	}
-	return nil
+	return err
 }
 
 // WriteReply writes one response frame, counting a failure in fails and
@@ -516,140 +519,102 @@ func WriteReply(w io.Writer, kind Kind, body any, fails *atomic.Int64, onErr fun
 	return err
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer and
-// returns it with its release function. The buffer is only valid until
-// release is called.
-func readFrame(r io.Reader) (buf []byte, release func(), err error) {
+// readFrame reads one frame into a pooled buffer and returns its kind and
+// body. The body aliases the buffer, valid until putRead(bp, frame). The
+// buffer is taken from the pool only once the length prefix has arrived:
+// servers park a reader on every idle connection, and a parked reader
+// must not pin a frame buffer.
+func readFrame(r io.Reader) (bp *[]byte, frame []byte, kind Kind, body []byte, err error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, nil, io.EOF
+			return nil, nil, "", nil, io.EOF
 		}
-		return nil, nil, fmt.Errorf("transport: reading length: %w", err)
+		return nil, nil, "", nil, fmt.Errorf("transport: reading length: %w", err)
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n == 0 || n > MaxMessageSize {
-		return nil, nil, ErrMessageTooLarge
+		return nil, nil, "", nil, ErrMessageTooLarge
 	}
-	bp := readPool.Get().(*[]byte)
+	bp = readPool.Get().(*[]byte)
 	if cap(*bp) >= int(n) {
-		buf = (*bp)[:n]
+		frame = (*bp)[:n]
 	} else {
-		buf = make([]byte, n)
+		frame = make([]byte, n)
 	}
-	release = func() {
-		if cap(buf) <= maxPooledFrame {
-			*bp = buf[:0]
-			readPool.Put(bp)
-		}
+	if _, err := io.ReadFull(r, frame); err != nil {
+		putRead(bp, frame)
+		return nil, nil, "", nil, fmt.Errorf("transport: reading body: %w", err)
 	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		release()
-		return nil, nil, fmt.Errorf("transport: reading body: %w", err)
+	kind, err = parseHeader(frame)
+	if err != nil {
+		putRead(bp, frame)
+		return nil, nil, "", nil, err
 	}
-	return buf, release, nil
+	return bp, frame, kind, frame[2:], nil
 }
 
-// parseEnvelope decodes the canonical envelope layout — {"kind":"...",
-// "body":<value>} with no whitespace, exactly what both Write and
-// json.Marshal(Envelope{...}) emit — without running a JSON decoder over
-// the whole frame. The envelope's Body (and nothing else) aliases buf, so
-// callers that keep it past buf's lifetime must copy. It reports false,
-// leaving env untouched, for any other layout (escaped kinds, reordered
-// keys); the caller then falls back to encoding/json. The body value is
-// not validated here — the typed body decode that every consumer performs
-// surfaces malformed payloads.
-func parseEnvelope(buf []byte, env *Envelope) bool {
-	const kindPrefix = `{"kind":"`
-	const bodySep = `","body":`
-	if len(buf) < len(kindPrefix)+len(bodySep)+2 || string(buf[:len(kindPrefix)]) != kindPrefix {
-		return false
+// parseHeader checks a frame's version byte and kind code.
+func parseHeader(frame []byte) (Kind, error) {
+	if len(frame) < 2 {
+		return "", fmt.Errorf("%w: %d-byte frame has no kind code", ErrMalformed, len(frame))
 	}
-	i := len(kindPrefix)
-	for ; i < len(buf); i++ {
-		c := buf[i]
-		if c == '"' {
-			break
-		}
-		if c == '\\' || c < 0x20 || c >= 0x7f {
-			return false
-		}
+	if frame[0] != Version {
+		return "", fmt.Errorf("%w: got %d, want %d", ErrVersion, frame[0], Version)
 	}
-	if i+len(bodySep) >= len(buf) || string(buf[i:i+len(bodySep)]) != bodySep || buf[len(buf)-1] != '}' {
-		return false
+	code := frame[1]
+	if code == 0 || int(code) > len(kindTable) {
+		return "", fmt.Errorf("%w: code %d", ErrUnknownKind, code)
 	}
-	env.Kind = Kind(buf[len(kindPrefix):i])
-	env.Body = json.RawMessage(buf[i+len(bodySep) : len(buf)-1])
-	return true
+	return kindTable[code-1].kind, nil
 }
 
-// Read receives one framed message envelope.
+// putRead returns a read buffer (possibly regrown to frame) to readPool.
+func putRead(bp *[]byte, frame []byte) {
+	if cap(frame) <= maxPooledFrame {
+		*bp = frame[:0]
+		readPool.Put(bp)
+	}
+}
+
+// Read receives one framed message envelope. The body is not decoded
+// until Envelope.Decode.
 func Read(r io.Reader) (*Envelope, error) {
-	buf, release, err := readFrame(r)
+	bp, frame, kind, body, err := readFrame(r)
 	if err != nil {
 		return nil, err
 	}
-	env := new(Envelope)
-	if parseEnvelope(buf, env) {
-		// The envelope outlives the pooled buffer: copy the aliased body.
-		env.Body = append(json.RawMessage(nil), env.Body...)
-		release()
-		return env, nil
+	env := &Envelope{Kind: kind}
+	if len(body) > 0 {
+		// The envelope outlives the pooled buffer.
+		env.Body = append([]byte(nil), body...)
 	}
-	// Non-canonical layout: full decode (json.RawMessage copies its bytes).
-	uerr := json.Unmarshal(buf, env)
-	release()
-	if uerr != nil {
-		return nil, fmt.Errorf("transport: decoding envelope: %w", uerr)
-	}
+	putRead(bp, frame)
 	return env, nil
 }
 
 // ReadExpect receives one message and requires it to be of the given kind,
-// decoding its body into out. A received KindError is surfaced as an error.
-// The body is decoded straight out of the pooled frame buffer — no
-// intermediate envelope copy.
+// decoding its body into out (nil skips the body). A received KindError
+// is surfaced as a *RemoteError. The body is decoded straight out of the
+// pooled frame buffer, with no intermediate envelope copy.
 func ReadExpect(r io.Reader, kind Kind, out any) error {
-	buf, release, err := readFrame(r)
+	bp, frame, got, body, err := readFrame(r)
 	if err != nil {
 		return err
 	}
-	defer release()
-	var env Envelope
-	if !parseEnvelope(buf, &env) {
-		if err := json.Unmarshal(buf, &env); err != nil {
-			return fmt.Errorf("transport: decoding envelope: %w", err)
-		}
-	}
-	if env.Kind == KindError {
+	defer putRead(bp, frame)
+	if got == KindError {
 		var e Error
-		if err := json.Unmarshal(env.Body, &e); err != nil {
+		if err := decodeBody(KindError, body, &e); err != nil {
 			return fmt.Errorf("transport: malformed error message: %w", err)
 		}
 		return &RemoteError{Message: e.Message}
 	}
-	if env.Kind != kind {
-		return fmt.Errorf("transport: got %s, want %s", env.Kind, kind)
+	if got != kind {
+		return fmt.Errorf("transport: got %s, want %s", got, kind)
 	}
 	if out == nil {
 		return nil
 	}
-	if d, ok := out.(bodyDecoder); ok && d.decodeBody(env.Body) {
-		return nil
-	}
-	if err := json.Unmarshal(env.Body, out); err != nil {
-		return fmt.Errorf("transport: decoding %s: %w", kind, err)
-	}
-	return nil
-}
-
-// Decode unmarshals an envelope body into out.
-func (e *Envelope) Decode(out any) error {
-	if d, ok := out.(bodyDecoder); ok && d.decodeBody(e.Body) {
-		return nil
-	}
-	if err := json.Unmarshal(e.Body, out); err != nil {
-		return fmt.Errorf("transport: decoding %s: %w", e.Kind, err)
-	}
-	return nil
+	return decodeBody(kind, body, out)
 }

@@ -649,10 +649,10 @@ func TestPublicOverlayCongestion(t *testing.T) {
 	vnet.SetDefaultLink(p2pstream.LinkConfig{Latency: 300 * time.Microsecond})
 	// The two supplier links share the requester's ingress bottleneck, so
 	// their caps act as one pipe: the combined full-quality wire rate
-	// (~184 KB/s) cannot fit through 140 KiB/s, the combined first-step
-	// rendition (~100 KB/s) can.
-	vnet.SetLink("s1", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 140 << 10})
-	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 140 << 10})
+	// (~131 KB/s) cannot fit through 100 KiB/s, the combined first-step
+	// rendition (~66 KB/s) can.
+	vnet.SetLink("s1", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 100 << 10})
+	vnet.SetLink("s2", "r", p2pstream.LinkConfig{Latency: 300 * time.Microsecond, Bandwidth: 100 << 10})
 
 	dir := p2pstream.NewDirectoryServer(1)
 	l, err := vnet.Host("dir").Listen(":0")
