@@ -6,6 +6,12 @@
 // the same playback time δt (typically on the order of seconds). A peer that
 // plays the file consumes segment s during the interval
 // [start + s·δt, start + (s+1)·δt), where start is the playback start time.
+//
+// The content is synthetic and deterministic, so both ends of a transfer
+// can regenerate it. Canonical renditions are windows onto one shared,
+// immutable table per quality class: bytes returned by SegmentContent,
+// SegmentContentAt, Codec.EncodeAt and Store.Get may be shared across
+// segments, stores and goroutines, and must not be modified.
 package media
 
 import (
@@ -100,10 +106,11 @@ func NewStore(f *File) (*Store, error) {
 	return &Store{file: f, data: make([][]byte, f.Segments), qual: make([]Quality, f.Segments)}, nil
 }
 
-// NewSeededStore returns a store pre-filled with deterministic synthetic
-// content for every segment, as held by a "seed" supplying peer. Segment s
-// is filled with the repeated byte pattern derived from s so that transfers
-// can be verified end to end.
+// NewSeededStore returns a store pre-filled with the canonical synthetic
+// content of every segment, as held by a "seed" supplying peer, so that
+// transfers can be verified end to end. The stored segments are windows
+// onto the shared rendition tables: every seed in the process holds the
+// same bytes, and building a seeded store copies none of them.
 func NewSeededStore(f *File) (*Store, error) {
 	s, err := NewStore(f)
 	if err != nil {
@@ -117,21 +124,12 @@ func NewSeededStore(f *File) (*Store, error) {
 	return s, nil
 }
 
-// SegmentContent generates the canonical synthetic content of a segment at
+// SegmentContent returns the canonical synthetic content of a segment at
 // full quality. Both ends of a transfer can regenerate it, which lets tests
-// verify byte-exact delivery without shipping a real media file.
+// verify byte-exact delivery without shipping a real media file. The
+// returned bytes are shared and must not be modified.
 func SegmentContent(f *File, id SegmentID) Segment {
-	return Segment{ID: id, Data: canonicalContent(f, id)}
-}
-
-// canonicalContent is the full-quality byte pattern codecs derive their
-// renditions from.
-func canonicalContent(f *File, id SegmentID) []byte {
-	data := make([]byte, f.SegmentBytes)
-	for i := range data {
-		data[i] = byte((int(id)*131 + i*31) % 251)
-	}
-	return data
+	return SegmentContentAt(f, id, 0)
 }
 
 // File returns the file description the store belongs to.
@@ -170,6 +168,8 @@ func (s *Store) Put(seg Segment) error {
 }
 
 // Get returns the segment with the given ID, or false if it is missing.
+// The returned bytes are the stored ones, possibly shared with other stores
+// (a seed's content is), and must not be modified.
 func (s *Store) Get(id SegmentID) (Segment, bool) {
 	if id < 0 || int(id) >= s.file.Segments || s.data[id] == nil {
 		return Segment{}, false

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"p2pstream/internal/media"
+	"p2pstream/internal/netx"
 	"p2pstream/internal/transport"
 )
 
@@ -178,6 +181,58 @@ func TestSupplierMissingSegment(t *testing.T) {
 	}
 }
 
+// TestDowngradedSessionRefusesUnheldSegments: once a congested session has
+// stepped down the quality ladder, a Start naming a segment the supplier
+// does not hold must still be refused with "segment not held" instead of
+// being served a synthesized rendition.
+func TestDowngradedSessionRefusesUnheldSegments(t *testing.T) {
+	for _, hostile := range []int{-1, 1_000_000} {
+		t.Run(fmt.Sprint(hostile), func(t *testing.T) {
+			c := newCluster(t)
+			seed := c.seed("s1", 1)
+			// A bottleneck at a quarter of the class-1 offer: the queue
+			// grows, the estimate collapses and the session downgrades.
+			f := testFile()
+			c.net.SetLink("s1", "tester", netx.LinkConfig{
+				Latency:   200 * time.Microsecond,
+				Bandwidth: int64(f.PlaybackRateBps() / 8),
+			})
+			segs := make([]int, f.Segments)
+			for i := range segs {
+				segs[i] = i
+			}
+			sess, err := c.dialStart(seed.Addr(), transport.Start{
+				RequesterID: "x", FileName: "video", Segments: append(segs, hostile),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.close()
+			lastQ := 0
+			for i := range segs {
+				seg, err := sess.readSegment()
+				if err != nil {
+					t.Fatalf("segment %d: %v", i, err)
+				}
+				if want := media.SegmentContentAt(f, media.SegmentID(i), media.Quality(seg.Quality)); seg.ID != i || !bytes.Equal(seg.Data, want.Data) {
+					t.Fatalf("segment %d q%d is not the canonical rendition", seg.ID, seg.Quality)
+				}
+				lastQ = seg.Quality
+				// Best effort, as on a real requester: the supplier may
+				// already have hung up after refusing the hostile segment.
+				_ = transport.Write(sess.conn, transport.KindAck, transport.Ack{Seq: seg.ID, Bytes: len(seg.Data)})
+			}
+			if lastQ == 0 {
+				t.Fatal("session never downgraded; the hostile segment would take the full-quality path")
+			}
+			_, err = sess.readSegment()
+			if err == nil || !strings.Contains(err.Error(), "segment not held") {
+				t.Fatalf("hostile segment %d at q%d: err = %v, want 'segment not held'", hostile, lastQ, err)
+			}
+		})
+	}
+}
+
 // abortableSession is a hand-rolled requester side of one Start exchange.
 type abortableSession struct {
 	conn net.Conn
@@ -206,21 +261,29 @@ func (c *cluster) dialStart(addr string, start transport.Start) (*abortableSessi
 
 // readOne reads the next segment frame, surfacing protocol errors.
 func (s *abortableSession) readOne() error {
+	_, err := s.readSegment()
+	return err
+}
+
+// readSegment reads and decodes the next segment frame, surfacing protocol
+// errors.
+func (s *abortableSession) readSegment() (transport.Segment, error) {
+	var seg transport.Segment
 	env, err := transport.Read(s.conn)
 	if err != nil {
-		return err
+		return seg, err
 	}
 	if env.Kind == transport.KindError {
 		var e transport.Error
 		if derr := env.Decode(&e); derr != nil {
-			return derr
+			return seg, derr
 		}
-		return errors.New(e.Message)
+		return seg, errors.New(e.Message)
 	}
 	if env.Kind != transport.KindSegment {
-		return errors.New("unexpected " + string(env.Kind))
+		return seg, errors.New("unexpected " + string(env.Kind))
 	}
-	return nil
+	return seg, env.Decode(&seg)
 }
 
 func (s *abortableSession) close() { s.conn.Close() }

@@ -116,16 +116,17 @@ func (n *Node) streamAdaptive(conn net.Conn, req transport.Start, f *media.File,
 			belowSince = time.Time{}
 		}
 
-		var data []byte
-		if q == 0 {
-			seg, ok := store.Get(media.SegmentID(segID))
-			if !ok {
-				n.reply(conn, transport.KindError,
-					transport.Error{Message: "segment not held"})
-				return
-			}
-			data = seg.Data
-		} else {
+		// The store is consulted at every quality: a downgraded session
+		// must refuse a segment the supplier does not hold, exactly as a
+		// full-quality one does, rather than synthesize it.
+		seg, ok := store.Get(media.SegmentID(segID))
+		if !ok {
+			n.reply(conn, transport.KindError,
+				transport.Error{Message: "segment not held"})
+			return
+		}
+		data := seg.Data
+		if q > 0 {
 			data = codec.EncodeAt(f, media.SegmentID(segID), q).Data
 		}
 		// Pace with 25% headroom over the estimate. At exactly the estimate
